@@ -9,8 +9,8 @@ from .geometry import (ArcInterface, ClosedInterface, ConvexityWarning,
                        EllipseSpec, ellipse_arc_radius,
                        ellipse_partition_family, make_arc)
 from .spectrum import (NEUTRAL, STABLE, UNSTABLE, SpectralMode,
-                       StabilityVerdict, case1_det, case2_det, case3_lengths,
-                       case_modes, classify, crit1_interval, crit2_root,
+                       StabilityVerdict, case1_det, case2_det, case_modes,
+                       classify, crit1_interval, crit2_root,
                        find_sign_change_roots, reconstruct_eigenfunction)
 from .closed import circle_spectrum, classify_closed, sphere_spectrum
 from .multiphase import (MultiphaseConfig, classify_config,
@@ -28,7 +28,7 @@ __all__ = [
     "ArcInterface", "ClosedInterface", "ConvexityWarning", "EllipseSpec",
     "ellipse_arc_radius", "ellipse_partition_family", "make_arc",
     "STABLE", "NEUTRAL", "UNSTABLE", "SpectralMode", "StabilityVerdict",
-    "case1_det", "case2_det", "case3_lengths", "case_modes", "classify",
+    "case1_det", "case2_det", "case_modes", "classify",
     "crit1_interval", "crit2_root", "find_sign_change_roots",
     "reconstruct_eigenfunction",
     "circle_spectrum", "classify_closed", "sphere_spectrum",

@@ -37,11 +37,11 @@ class DiscreteOperator:
 
     def form_matrix(self) -> sp.csr_matrix:
         """Matrix A of the second-variation form J(f) = f^T A f."""
-        a = (self.stiffness - self.curvature_term * self.mass).tolil()
+        a = self.stiffness - self.curvature_term * self.mass
         if not self.periodic:
-            s1, s2 = self.boundary_terms
-            a[0, 0] -= s1
-            a[-1, -1] -= s2
+            robin = np.zeros(self.n)
+            robin[0], robin[-1] = self.boundary_terms
+            a = a - sp.diags(robin, format="csr")
         return a.tocsr()
 
 

@@ -11,9 +11,11 @@ mu + kappa^2:
 
 Each branch yields a homogeneous 3x3 linear system in (lam, C, D); modes
 exist where its determinant vanishes.  Boundary rows are multiplied through
-by sigma_i so sigma_i = 0 degenerates continuously to the Neumann row, and
-the lam column is scaled by 2k^2 to stay finite as k -> 0.  These scalings
-change determinant values, never zero sets.
+by sigma_i so sigma_i = 0 degenerates continuously to the Neumann row, the
+lam column is scaled by 2k^2 to stay finite as k -> 0, and in Case II the C
+column is scaled by e^{-x} to stay bounded.  One row builder per branch
+serves both the determinant scan and the null vector at each root.  These
+scalings change determinant values, never zero sets.
 """
 
 from __future__ import annotations
@@ -75,24 +77,6 @@ def neutral_tolerance(arc: ArcInterface, tol: float = DEFAULT_TOL) -> float:
 # determinants
 
 
-def case3_lengths(sigma1: float, sigma2: float) -> list[float]:
-    """Positive lengths solving sigma1*sigma2*L^2 - 4(sigma1+sigma2)L + 12 = 0.
-
-    Degenerates to the linear equation when sigma1*sigma2 = 0; empty when
-    both curvatures vanish.
-    """
-    p = sigma1 * sigma2
-    q = sigma1 + sigma2
-    if p == 0.0:
-        return [] if q == 0.0 else [3.0 / q]
-    disc = q * q - 3.0 * p  # = sigma1^2 + sigma2^2 - sigma1*sigma2 >= 0
-    if disc < 0.0:
-        return []
-    root = math.sqrt(disc)
-    lengths = sorted({2.0 * (q - root) / p, 2.0 * (q + root) / p})
-    return [L for L in lengths if L > 0.0]
-
-
 def case2_det(x, a: float, b: float):
     """Case II solvability determinant in the dimensionless variables
     x = kL, a = sigma1*L, b = sigma2*L:
@@ -126,6 +110,26 @@ def _det3(m) -> np.ndarray:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _case1_rows(x: np.ndarray, L: float, sigma1: float, sigma2: float) -> list:
+    """Rows of the Case I system in (lam/(2k^2), C, D) at x = kL."""
+    k = x / L
+    sx, cx = np.sin(x), np.cos(x)
+    return [[-sigma1, k, sigma1],
+            [-sigma2, sigma2 * sx - k * cx, sigma2 * cx + k * sx],
+            [-k * L, 1.0 - cx, sx]]
+
+
+def _case2_rows(x: np.ndarray, L: float, sigma1: float, sigma2: float) -> list:
+    """Rows of the Case II system in (lam/(2k^2), C', D) at x = kL.  Only the
+    C column is scaled (C = C' e^{-x}): entries stay bounded and no row
+    underflows to zero."""
+    k = x / L
+    ex = np.exp(-x)
+    return [[sigma1, (sigma1 + k) * ex, sigma1 - k],
+            [sigma2, sigma2 - k, (sigma2 + k) * ex],
+            [k * L, 1.0 - ex, 1.0 - ex]]
+
+
 def case1_det(x, kappa: float, L: float, sigma1: float, sigma2: float):
     """Case I solvability determinant at x = kL (so k = x/L; mu = k^2 - kappa^2).
 
@@ -137,66 +141,36 @@ def case1_det(x, kappa: float, L: float, sigma1: float, sigma2: float):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("x must be positive (k = x/L > 0)")
-    k = x / L
-    sx, cx = np.sin(x), np.cos(x)
-    one = np.ones_like(x)
-    m = [[-sigma1 * one, k, sigma1 * one],
-         [-sigma2 * one, sigma2 * sx - k * cx, sigma2 * cx + k * sx],
-         [-k * L, 1.0 - cx, sx]]
-    out = _det3(m)
+    out = _det3(_case1_rows(x, L, sigma1, sigma2))
     return float(out) if out.ndim == 0 else out
 
 
 def _case2_sys_det(x, L: float, sigma1: float, sigma2: float):
-    """Case II system determinant, valid for any sigma_i >= 0.
-
-    Same scalings as case1_det, plus row/column scaling by e^{-x} to keep
-    entries bounded for large x.  Proportional to case2_det where both
-    sigmas are positive.
-    """
-    x = np.asarray(x, dtype=float)
-    k = x / L
-    ex = np.exp(-x)
-    one = np.ones_like(x)
-    m = [[sigma1 * one, (sigma1 + k) * ex, sigma1 - k],
-         [sigma2 * ex, (sigma2 - k) * ex, (sigma2 + k) * ex * ex],
-         [k * L, 1.0 - ex, 1.0 - ex]]
-    # row3 col3 entry: (1 - e^{-x}); col2 entry (e^x - 1) e^{-x} = 1 - e^{-x}
-    out = _det3(m)
+    """Case II system determinant, valid for any sigma_i >= 0 and proportional
+    to case2_det where both sigmas are positive."""
+    out = _det3(_case2_rows(np.asarray(x, dtype=float), L, sigma1, sigma2))
     return float(out) if out.ndim == 0 else out
 
 
-def _case1_matrix(x: float, L: float, sigma1: float, sigma2: float) -> np.ndarray:
-    k = x / L
-    sx, cx = math.sin(x), math.cos(x)
-    return np.array([
-        [-sigma1, k, sigma1],
-        [-sigma2, sigma2 * sx - k * cx, sigma2 * cx + k * sx],
-        [-k * L, 1.0 - cx, sx]])
-
-
-def _case2_matrix(x: float, L: float, sigma1: float, sigma2: float) -> np.ndarray:
-    k = x / L
-    ekl, emkl = math.exp(x), math.exp(-x)
-    return np.array([
-        [sigma1, sigma1 + k, sigma1 - k],
-        [sigma2, (sigma2 - k) * ekl, (sigma2 + k) * emkl],
-        [k * L, ekl - 1.0, 1.0 - emkl]])
-
-
-def _null_vector(m: np.ndarray) -> np.ndarray:
-    """Unit null vector of a (numerically) singular 3x3 matrix."""
-    _, _, vt = np.linalg.svd(m)
-    return vt[-1]
-
-
-def _coeffs_from_null(v: np.ndarray, k: float) -> tuple[float, float, float]:
-    """Map a null vector of the scaled system back to raw (lambda, C, D).
-
-    The lam column was scaled by 2k^2, so the first component is lam/(2k^2).
-    """
+def _mode(case_tag: str, x: float, arc: ArcInterface) -> SpectralMode:
+    """The Case I or II mode at a determinant root x = kL: the unit null
+    vector of the scaled rows, mapped back to raw (lambda, C, D).  A Case II
+    vector is renormalized after C = C' e^{-x} and signed so that its
+    largest-magnitude component is positive."""
+    k, kap = x / arc.length, arc.kappa
+    if case_tag == "I":
+        rows, mu = _case1_rows, k * k - kap * kap
+    else:
+        rows, mu = _case2_rows, -kap * kap - k * k
+    _, _, vt = np.linalg.svd(np.array(rows(np.asarray(x), arc.length, arc.sigma1, arc.sigma2)))
+    v = vt[-1]
+    if case_tag == "II":
+        v = v * (1.0, math.exp(-x), 1.0)
+        v /= np.linalg.norm(v)
+        if v[np.argmax(np.abs(v))] < 0.0:
+            v = -v
     lam = 2.0 * k * k * v[0]
-    return (float(lam), float(v[1]), float(v[2]))
+    return SpectralMode(case_tag, k, mu, (float(lam), float(v[1]), float(v[2])))
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +244,10 @@ def case_modes(arc: ArcInterface, case_tag: str, x_max: Optional[float] = None,
     # small-x cutoff: the determinants vanish like x^4 at 0, so start the
     # scan above the floating-point noise floor
     x_lo = max(1e-3, x_max / n_grid)
-    if case_tag == "I":
-        det = lambda x: case1_det(x, kap, L, s1, s2)
-        matrix = _case1_matrix
-    else:
-        det = lambda x: _case2_sys_det(x, L, s1, s2)
-        matrix = _case2_matrix
-
-    modes = []
-    for x in find_sign_change_roots(det, x_lo, x_max, n_grid=n_grid, tol=1e-13):
-        k = x / L
-        v = _null_vector(matrix(x, L, s1, s2))
-        coeffs = _coeffs_from_null(v, k)
-        mu = k * k - kap * kap if case_tag == "I" else -kap * kap - k * k
-        modes.append(SpectralMode(case_tag, k, mu, coeffs))
-    return modes
+    rows = _case1_rows if case_tag == "I" else _case2_rows
+    det = lambda x: _det3(rows(np.asarray(x, dtype=float), L, s1, s2))
+    return [_mode(case_tag, x, arc)
+            for x in find_sign_change_roots(det, x_lo, x_max, n_grid=n_grid, tol=1e-13)]
 
 
 def reconstruct_eigenfunction(mode: SpectralMode, arc: ArcInterface,
@@ -306,18 +269,16 @@ def reconstruct_eigenfunction(mode: SpectralMode, arc: ArcInterface,
     if mode.case_tag == "I":
         f = -lam / (2.0 * k * k) + c * np.sin(k * s) + d * np.cos(k * s)
         df0, dfL = k * c, k * (c * math.cos(k * L) - d * math.sin(k * L))
-        f0, fL = float(f[0]), float(f[-1])
     elif mode.case_tag == "II":
         f = lam / (2.0 * k * k) + c * np.exp(k * s) + d * np.exp(-k * s)
         df0 = k * (c - d)
         dfL = k * (c * math.exp(k * L) - d * math.exp(-k * L))
-        f0, fL = float(f[0]), float(f[-1])
     elif mode.case_tag == "III":
         f = -lam / 4.0 * s * s + c * s + d
         df0, dfL = c, -lam * L / 2.0 + c
-        f0, fL = float(f[0]), float(f[-1])
     else:
         raise ValueError(f"cannot reconstruct case {mode.case_tag!r}")
+    f0, fL = float(f[0]), float(f[-1])
 
     scale = max(abs(f).max(), 1e-300)
     bc0 = abs(-df0 - arc.sigma1 * f0) / scale
@@ -361,7 +322,8 @@ def _coth_half_form(x, c: float):
 
 
 def crit2_root(c: float, x_max: float = 50.0, n_grid: int = DEFAULT_N_GRID) -> Optional[float]:
-    """Positive root of (x/2)(e^x+1)/(e^x-1) - 1 - x^2/c; exists for c > 12."""
+    """Positive root of (x/2)(e^x+1)/(e^x-1) - 1 - x^2/c; exists for c > 12.
+    A documented criterion and cross-check only: classify takes no mu1 from it."""
     if c <= 0.0:
         raise ValueError(f"c must be positive, got {c}")
     roots = find_sign_change_roots(lambda x: _coth_half_form(x, c),
@@ -381,43 +343,30 @@ def classify(arc: ArcInterface, tol: float = DEFAULT_TOL,
     Decision order: the closed-form length criteria (instability interval,
     then the large-interface criterion), then exact Case III detection,
     then the Case II scan, and finally the Case I spectrum whose smallest
-    eigenvalue settles Stable/Neutral/Unstable.
+    eigenvalue settles Stable/Neutral/Unstable.  The length criteria only
+    choose the evidence: mu1 and the witness always come from the smallest
+    Case II mode, or the Case III mode when there is none.
     """
     interval = crit1_interval(arc.sigma1, arc.sigma2)
-    if interval is not None:
-        l_minus, l_plus = interval
-        if l_minus <= arc.length <= l_plus:
-            witness = _min_mode(case_modes(arc, "II", x_max, n_grid, tol)
-                                or case_modes(arc, "III", x_max, n_grid, tol))
-            mu1 = witness.mu if witness else None
-            return StabilityVerdict(UNSTABLE, mu1, "crit1-interval", witness)
-        if arc.length > l_plus:
-            c = (arc.sigma1 + arc.sigma2) * arc.length
-            witness = None
-            x_star = crit2_root(c)
-            if x_star is not None:
-                k = x_star / arc.length
-                v = _null_vector(_case2_matrix(x_star, arc.length, arc.sigma1, arc.sigma2))
-                witness = SpectralMode("II", k, -arc.kappa ** 2 - k * k,
-                                       _coeffs_from_null(v, k))
-            mu1 = witness.mu if witness else None
-            return StabilityVerdict(UNSTABLE, mu1, "crit2-threshold", witness)
+    if interval is not None and arc.length >= interval[0]:
+        witness = _min_mode(case_modes(arc, "II", x_max, n_grid, tol)
+                            or case_modes(arc, "III", x_max, n_grid, tol))
+        evidence = "crit1-interval" if arc.length <= interval[1] else "crit2-threshold"
+        return StabilityVerdict(UNSTABLE, witness.mu if witness else None, evidence, witness)
 
     modes3 = case_modes(arc, "III", x_max, n_grid, tol)
     if modes3:
         return StabilityVerdict(UNSTABLE, modes3[0].mu, "case3-exact", modes3[0])
 
-    modes2 = case_modes(arc, "II", x_max, n_grid, tol)
-    if modes2:
-        worst = _min_mode(modes2)
+    worst = _min_mode(case_modes(arc, "II", x_max, n_grid, tol))
+    if worst is not None:
         return StabilityVerdict(UNSTABLE, worst.mu, "case2-root", worst)
 
-    modes1 = case_modes(arc, "I", x_max, n_grid, tol)
-    if not modes1:
+    lowest = _min_mode(case_modes(arc, "I", x_max, n_grid, tol))
+    if lowest is None:
         # no Case I root on the window: nothing below the scan resolution,
         # treat as stable with unknown mu1
         return StabilityVerdict(STABLE, None, "spectrum-positive", None)
-    lowest = _min_mode(modes1)
     ntol = neutral_tolerance(arc, tol)
     if lowest.mu < -ntol:
         return StabilityVerdict(UNSTABLE, lowest.mu, "case1-negative-root", lowest)

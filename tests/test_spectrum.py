@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partstab import (NEUTRAL, STABLE, UNSTABLE, ArcInterface, case1_det,
-                      case2_det, case3_lengths, case_modes, classify,
+                      case2_det, case_modes, classify,
                       crit1_interval, crit2_root, find_sign_change_roots,
                       reconstruct_eigenfunction)
 from partstab.spectrum import _case2_sys_det, _coth_half_form
@@ -18,24 +18,6 @@ CASE2_MU_S1_L4 = -1.916813956124163     # mu = -1 - (x*/4)^2
 
 # ---------------------------------------------------------------------------
 # determinants
-
-
-def test_case3_lengths_symmetric():
-    # sigma1 = sigma2 = 1: L^2 - 8L + 12 = 0 -> L = 2, 6
-    assert case3_lengths(1.0, 1.0) == pytest.approx([2.0, 6.0], abs=1e-12)
-
-
-def test_case3_lengths_asymmetric():
-    # sigma = (3, 1): 3L^2 - 16L + 12 = 0 -> L = 2(4 +- sqrt(7))/3
-    lo, hi = case3_lengths(3.0, 1.0)
-    assert lo == pytest.approx(2.0 * (4.0 - math.sqrt(7.0)) / 3.0, rel=1e-14)
-    assert hi == pytest.approx(2.0 * (4.0 + math.sqrt(7.0)) / 3.0, rel=1e-14)
-
-
-def test_case3_lengths_degenerate():
-    # one flat side: linear equation 4*sigma*L = 12
-    assert case3_lengths(2.0, 0.0) == pytest.approx([1.5])
-    assert case3_lengths(0.0, 0.0) == []
 
 
 def test_case2_det_small_x_leading_term():
@@ -222,8 +204,36 @@ def test_reconstruct_rejects_degenerate_input():
 def test_crit1_interval_values():
     assert crit1_interval(1.0, 1.0) == pytest.approx((2.0, 6.0), abs=1e-12)
     assert crit1_interval(0.0, 1.0) is None
+
+
+# The Case III lengths solve sigma1*sigma2*L^2 - 4(sigma1+sigma2)L + 12 = 0;
+# they are the ends of the crit1 interval and the lengths where the
+# polynomial mode mu = -1 exists.
+
+
+def test_case3_lengths_symmetric():
+    # sigma1 = sigma2 = 1: L^2 - 8L + 12 = 0 -> L = 2, 6
+    assert crit1_interval(1.0, 1.0) == pytest.approx((2.0, 6.0), abs=1e-12)
+    for length in (2.0, 6.0):
+        assert len(case_modes(ArcInterface(1.0, length, 1.0, 1.0), "III")) == 1
+
+
+def test_case3_lengths_asymmetric():
+    # sigma = (3, 1): 3L^2 - 16L + 12 = 0 -> L = 2(4 +- sqrt(7))/3
     lo, hi = crit1_interval(3.0, 1.0)
-    assert [lo, hi] == pytest.approx(case3_lengths(3.0, 1.0), rel=1e-14)
+    assert lo == pytest.approx(2.0 * (4.0 - math.sqrt(7.0)) / 3.0, rel=1e-14)
+    assert hi == pytest.approx(2.0 * (4.0 + math.sqrt(7.0)) / 3.0, rel=1e-14)
+    for length in (lo, hi):
+        assert len(case_modes(ArcInterface(1.0, length, 3.0, 1.0), "III")) == 1
+
+
+def test_case3_lengths_degenerate():
+    # one flat side: the length equation is linear, 4*sigma*L = 12
+    flat = case_modes(ArcInterface(1.0, 1.5, 2.0, 0.0), "III")
+    assert len(flat) == 1 and flat[0].mu == -1.0
+    assert case_modes(ArcInterface(1.0, 1.4, 2.0, 0.0), "III") == []
+    # both sides flat: no polynomial mode at any length
+    assert case_modes(ArcInterface(1.0, 1.5, 0.0, 0.0), "III") == []
 
 
 def test_crit2_root_existence_threshold():
@@ -261,6 +271,52 @@ def test_classify_unit_sigma_sweep(L, expected, evidence):
     verdict = classify(ArcInterface(1.0, L, 1.0, 1.0))
     assert verdict.classification == expected
     assert verdict.evidence == evidence
+
+
+@pytest.mark.parametrize("args,mu1", [
+    # frozen from a Legendre Rayleigh-Ritz reference; the oracle agrees
+    ((1.0, 7.0, 1.0, 1.0), -1.99631186),
+    ((1.0 / 12.0, 12.0, 0.5, 3.0), -8.50261667),
+    ((1.0, 200.0, 1.0, 1.0), -2.0),
+])
+def test_classify_crit2_mu1_is_smallest_mode(args, mu1):
+    # beyond L+ the threshold only names the evidence: mu1 is the largest
+    # Case II root, not the root of the threshold equation
+    arc = ArcInterface(*args)
+    verdict = classify(arc)
+    assert verdict.classification == UNSTABLE
+    assert verdict.evidence == "crit2-threshold"
+    assert verdict.mu1 == pytest.approx(mu1, rel=1e-8)
+    assert verdict.witness.mu == verdict.mu1
+    reconstruct_eigenfunction(verdict.witness, arc, 2001)  # Robin check
+
+
+def test_classify_case2_root_past_exp_overflow():
+    # the Case II window reaches x = 3200 and the root sits at x ~ 799, past
+    # the e^x overflow; frozen after an oracle check at n=40001 (-0.99747)
+    verdict = classify(ArcInterface(0.001, 800.0, 0.0, 1.0))
+    assert verdict.classification == UNSTABLE
+    assert verdict.mu1 == pytest.approx(-0.9974994, rel=1e-7)
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, 4.0, 1.0, 1.0),   # crit1-interval
+    (1.0, 7.0, 1.0, 1.0),   # crit2-threshold
+    (1.0, 1.5, 2.0, 0.0),   # case3-exact
+    (0.5, 2.0, 3.0, 0.0),   # case2-root
+    (1.0, 4.0, 0.0, 0.0),   # case1-negative-root
+    (1.0, 2.0, 0.0, 0.0),   # spectrum-positive
+])
+@pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
+def test_classify_scaling_invariance(args, t):
+    # (kappa, L, sigma) -> (kappa/t, t*L, sigma/t) keeps (a, b, kL), so
+    # mu1 -> mu1/t^2 with the same decision path
+    kappa, L, s1, s2 = args
+    base = classify(ArcInterface(*args))
+    scaled = classify(ArcInterface(kappa / t, t * L, s1 / t, s2 / t))
+    assert scaled.evidence == base.evidence
+    assert scaled.classification == base.classification
+    assert scaled.mu1 * t * t == pytest.approx(base.mu1, rel=1e-12)
 
 
 def test_classify_flat_boundary_stable():
