@@ -9,6 +9,7 @@ so identical inputs produce byte-identical output; human diagnostics
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ from .spectrum import NEUTRAL, STABLE, UNSTABLE
 
 EXIT_CODES = {STABLE: 0, NEUTRAL: 10, UNSTABLE: 20}
 DEFAULT_GRID = 2001
+_parser = functools.cache(lambda: build_parser())  # parse_args leaves the parser unchanged
 
 
 def _fmt(x: float) -> str:
@@ -289,9 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on bad flags already; normalize other codes
         return 2 if exc.code not in (0,) else 0

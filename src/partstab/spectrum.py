@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -177,16 +177,9 @@ def _mode(case_tag: str, x: float, arc: ArcInterface) -> SpectralMode:
 # root finding
 
 
-def find_sign_change_roots(f: Callable[[float], float], x_lo: float, x_hi: float,
-                           n_grid: int = DEFAULT_N_GRID,
-                           tol: float = 1e-12) -> list[float]:
-    """Roots of f located by a sign-change scan plus Brent refinement.
-
-    Scans n_grid points of [x_lo, x_hi]; roots closer together than the grid
-    spacing (or touching roots without sign change) may be missed.  Each
-    returned root r satisfies |f(r)| <= tol * scale with scale taken from
-    the bracketing values.
-    """
+def _root_stream(f: Callable[[float], float], x_lo: float, x_hi: float,
+                 n_grid: int, tol: float, descending: bool = False) -> Iterator[float]:
+    """Validated roots of f, refined lazily in ascending x (descending on request)."""
     if not (x_lo < x_hi):
         raise ValueError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
     if n_grid < 2:
@@ -198,20 +191,32 @@ def find_sign_change_roots(f: Callable[[float], float], x_lo: float, x_hi: float
             raise TypeError
     except Exception:
         vals = np.array([f(float(x)) for x in xs], dtype=float)
-    roots: list[float] = []
-    for i in range(n_grid - 1):
-        lo, hi = vals[i], vals[i + 1]
-        if lo == 0.0:
-            roots.append(float(xs[i]))
+    lo, hi = vals[:-1], vals[1:]
+    # an exact zero on a grid point, or a sign change; NaN makes neither
+    brackets = np.nonzero((lo == 0.0) | (lo * hi < 0.0))[0]
+    for i in brackets[::-1] if descending else brackets:
+        if lo[i] == 0.0:
+            yield float(xs[i])
             continue
-        if lo * hi < 0.0:
-            r = brentq(f, float(xs[i]), float(xs[i + 1]), xtol=tol, rtol=1e-15)
-            scale = max(1.0, abs(lo), abs(hi))
-            if abs(f(r)) <= max(tol, 1e-10) * scale:
-                roots.append(float(r))
-    # drop duplicates from touching brackets
+        r = brentq(f, float(xs[i]), float(xs[i + 1]), xtol=tol, rtol=1e-15)
+        if abs(f(r)) <= max(tol, 1e-10) * max(1.0, abs(lo[i]), abs(hi[i])):
+            yield float(r)
+
+
+def find_sign_change_roots(f: Callable[[float], float], x_lo: float, x_hi: float,
+                           n_grid: int = DEFAULT_N_GRID,
+                           tol: float = 1e-12) -> list[float]:
+    """Roots of f located by a sign-change scan plus Brent refinement.
+
+    Scans n_grid points of [x_lo, x_hi]; roots closer together than the grid
+    spacing (or touching roots without sign change) may be missed.  Each
+    returned root r satisfies |f(r)| <= tol * scale with scale taken from
+    the bracketing values.  Every bracket is refined; classify refines only
+    the lowest-mu root of each branch.
+    """
     out: list[float] = []
-    for r in sorted(roots):
+    # drop duplicates from touching brackets
+    for r in sorted(_root_stream(f, x_lo, x_hi, n_grid, tol)):
         if not out or r - out[-1] > tol + 1e-12 * max(1.0, abs(r)):
             out.append(r)
     return out
@@ -221,18 +226,27 @@ def find_sign_change_roots(f: Callable[[float], float], x_lo: float, x_hi: float
 # mode enumeration
 
 
+def _scan_window(arc: ArcInterface, case_tag: str, x_max: Optional[float], n_grid: int) -> tuple:
+    """Determinant of the Case I or II branch and its scan window [x_lo, x_max]."""
+    x_max = default_x_max(arc) if x_max is None else x_max
+    if x_max <= 0.0:
+        raise ValueError(f"x_max must be positive, got {x_max}")
+    # small-x cutoff: the determinants vanish like x^4 at 0, so start the
+    # scan above the floating-point noise floor
+    x_lo = max(1e-3, x_max / n_grid)
+    rows = _case1_rows if case_tag == "I" else _case2_rows
+    det = lambda x: _det3(rows(np.asarray(x, dtype=float), arc.length, arc.sigma1, arc.sigma2))
+    return det, x_lo, x_max
+
+
 def case_modes(arc: ArcInterface, case_tag: str, x_max: Optional[float] = None,
                n_grid: int = DEFAULT_N_GRID, tol: float = DEFAULT_TOL) -> list[SpectralMode]:
     """All modes of one case branch found on the scan window (0, x_max]."""
     if case_tag not in ("I", "II", "III"):
         raise ValueError(f"case_tag must be 'I', 'II' or 'III', got {case_tag!r}")
-    L, kap, s1, s2 = arc.length, arc.kappa, arc.sigma1, arc.sigma2
-    if x_max is None:
-        x_max = default_x_max(arc)
-    if x_max <= 0.0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
-
+    det, x_lo, x_max = _scan_window(arc, case_tag, x_max, n_grid)
     if case_tag == "III":
+        L, kap, s1, s2 = arc.length, arc.kappa, arc.sigma1, arc.sigma2
         resid = s1 * s2 * L * L - 4.0 * (s1 + s2) * L + 12.0
         if abs(resid) > tol * (1.0 + s1 * s2 * L * L):
             return []
@@ -241,11 +255,6 @@ def case_modes(arc: ArcInterface, case_tag: str, x_max: Optional[float] = None,
         lam = 6.0 * (L * c + 2.0 * d) / (L * L)
         return [SpectralMode("III", 0.0, -kap * kap, (lam, c, d))]
 
-    # small-x cutoff: the determinants vanish like x^4 at 0, so start the
-    # scan above the floating-point noise floor
-    x_lo = max(1e-3, x_max / n_grid)
-    rows = _case1_rows if case_tag == "I" else _case2_rows
-    det = lambda x: _det3(rows(np.asarray(x, dtype=float), L, s1, s2))
     return [_mode(case_tag, x, arc)
             for x in find_sign_change_roots(det, x_lo, x_max, n_grid=n_grid, tol=1e-13)]
 
@@ -331,8 +340,13 @@ def crit2_root(c: float, x_max: float = 50.0, n_grid: int = DEFAULT_N_GRID) -> O
     return roots[0] if roots else None
 
 
-def _min_mode(modes: Sequence[SpectralMode]) -> Optional[SpectralMode]:
-    return min(modes, key=lambda m: m.mu) if modes else None
+def _lowest_mode(arc: ArcInterface, case_tag: str, x_max: Optional[float],
+                 n_grid: int) -> Optional[SpectralMode]:
+    """The smallest-mu Case I or II mode: mu grows with x in Case I and falls
+    in Case II, so only the first root scanned from that end is refined."""
+    det, x_lo, x_max = _scan_window(arc, case_tag, x_max, n_grid)
+    x = next(_root_stream(det, x_lo, x_max, n_grid, 1e-13, descending=case_tag == "II"), None)
+    return None if x is None else _mode(case_tag, x, arc)
 
 
 def classify(arc: ArcInterface, tol: float = DEFAULT_TOL,
@@ -345,24 +359,24 @@ def classify(arc: ArcInterface, tol: float = DEFAULT_TOL,
     then the Case II scan, and finally the Case I spectrum whose smallest
     eigenvalue settles Stable/Neutral/Unstable.  The length criteria only
     choose the evidence: mu1 and the witness always come from the smallest
-    Case II mode, or the Case III mode when there is none.
+    Case II mode, or the Case III mode when there is none.  Each branch
+    refines and builds a mode for its lowest root only (see _lowest_mode).
     """
+    modes3 = case_modes(arc, "III", x_max, n_grid, tol)
     interval = crit1_interval(arc.sigma1, arc.sigma2)
     if interval is not None and arc.length >= interval[0]:
-        witness = _min_mode(case_modes(arc, "II", x_max, n_grid, tol)
-                            or case_modes(arc, "III", x_max, n_grid, tol))
+        witness = _lowest_mode(arc, "II", x_max, n_grid) or (modes3[0] if modes3 else None)
         evidence = "crit1-interval" if arc.length <= interval[1] else "crit2-threshold"
         return StabilityVerdict(UNSTABLE, witness.mu if witness else None, evidence, witness)
 
-    modes3 = case_modes(arc, "III", x_max, n_grid, tol)
     if modes3:
         return StabilityVerdict(UNSTABLE, modes3[0].mu, "case3-exact", modes3[0])
 
-    worst = _min_mode(case_modes(arc, "II", x_max, n_grid, tol))
+    worst = _lowest_mode(arc, "II", x_max, n_grid)
     if worst is not None:
         return StabilityVerdict(UNSTABLE, worst.mu, "case2-root", worst)
 
-    lowest = _min_mode(case_modes(arc, "I", x_max, n_grid, tol))
+    lowest = _lowest_mode(arc, "I", x_max, n_grid)
     if lowest is None:
         # no Case I root on the window: nothing below the scan resolution,
         # treat as stable with unknown mu1

@@ -4,16 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from partstab import (NEUTRAL, STABLE, UNSTABLE, ArcInterface, case1_det,
                       case2_det, case_modes, classify,
                       crit1_interval, crit2_root, find_sign_change_roots,
                       reconstruct_eigenfunction)
-from partstab.spectrum import _case2_sys_det, _coth_half_form
+from partstab.spectrum import _case2_sys_det, _coth_half_form, default_x_max
 
 # frozen cross-checked reference values
 CASE2_ROOT_S1_L4 = 3.8300160963090755   # x* of the exponential branch, sigma=1, L=4
 CASE2_MU_S1_L4 = -1.916813956124163     # mu = -1 - (x*/4)^2
+
+# one (kappa, L, sigma1, sigma2) per decision branch of classify
+BRANCH_ARCS = [
+    (1.0, 4.0, 1.0, 1.0),   # crit1-interval
+    (1.0, 7.0, 1.0, 1.0),   # crit2-threshold
+    (1.0, 1.5, 2.0, 0.0),   # case3-exact
+    (0.5, 2.0, 3.0, 0.0),   # case2-root
+    (1.0, 4.0, 0.0, 0.0),   # case1-negative-root
+    (1.0, 2.0, 0.0, 0.0),   # spectrum-positive
+]
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +119,60 @@ def test_find_roots_vectorized_callable():
     roots = find_sign_change_roots(lambda x: case2_det(x, 4.0, 4.0), 0.5, 10.0)
     assert len(roots) == 1
     assert case2_det(roots[0], 4.0, 4.0) == pytest.approx(0.0, abs=1e-10)
+
+
+def test_find_roots_exact_grid_zero_returned_once():
+    # vals = [-1, 0, 1]: the zero at x = 1 is no sign change on either side
+    assert find_sign_change_roots(lambda x: x - 1.0, 0.0, 2.0, n_grid=3) == [1.0]
+
+
+def test_find_roots_nan_makes_no_bracket():
+    # the root at 0.5 sits next to a NaN grid value and is skipped; the
+    # root at 3.5 is still found
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == 1.0, np.nan, (x - 0.5) * (x - 3.5))
+
+    assert find_sign_change_roots(f, 0.0, 4.0, n_grid=5) == pytest.approx([3.5], abs=1e-12)
+
+
+def test_find_roots_close_pair_is_one_root():
+    # sign changes at 1 -/+ 4e-7, one in each bracket next to the grid point
+    # x = 1: two refined roots less than tol apart come back as one
+    roots = find_sign_change_roots(lambda x: np.abs(x - 1.0) - 4e-7, 0.0, 2.0,
+                                   n_grid=3, tol=1e-6)
+    assert len(roots) == 1
+    assert roots[0] == pytest.approx(1.0 - 4e-7, abs=1e-6)
+
+
+def _loop_roots(f, x_lo, x_hi, n_grid, tol):
+    """The bracket scan as a plain loop over grid intervals (the reference)."""
+    xs = np.linspace(x_lo, x_hi, n_grid)
+    vals = np.asarray(f(xs), dtype=float)
+    roots = []
+    for i in range(n_grid - 1):
+        lo, hi = vals[i], vals[i + 1]
+        if lo == 0.0:
+            roots.append(float(xs[i]))
+        elif lo * hi < 0.0:
+            r = brentq(f, float(xs[i]), float(xs[i + 1]), xtol=tol, rtol=1e-15)
+            if abs(f(r)) <= max(tol, 1e-10) * max(1.0, abs(lo), abs(hi)):
+                roots.append(float(r))
+    out = []
+    for r in sorted(roots):
+        if not out or r - out[-1] > tol + 1e-12 * max(1.0, abs(r)):
+            out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("args", BRANCH_ARCS)
+def test_find_roots_matches_loop_reference(args):
+    kappa, L, s1, s2 = args
+    x_max = default_x_max(ArcInterface(*args))
+    for det in (lambda x: case1_det(x, kappa, L, s1, s2),
+                lambda x: _case2_sys_det(x, L, s1, s2)):
+        expected = _loop_roots(det, x_max / 4096, x_max, 4096, 1e-13)
+        assert find_sign_change_roots(det, x_max / 4096, x_max, tol=1e-13) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +364,7 @@ def test_classify_case2_root_past_exp_overflow():
     assert verdict.mu1 == pytest.approx(-0.9974994, rel=1e-7)
 
 
-@pytest.mark.parametrize("args", [
-    (1.0, 4.0, 1.0, 1.0),   # crit1-interval
-    (1.0, 7.0, 1.0, 1.0),   # crit2-threshold
-    (1.0, 1.5, 2.0, 0.0),   # case3-exact
-    (0.5, 2.0, 3.0, 0.0),   # case2-root
-    (1.0, 4.0, 0.0, 0.0),   # case1-negative-root
-    (1.0, 2.0, 0.0, 0.0),   # spectrum-positive
-])
+@pytest.mark.parametrize("args", BRANCH_ARCS)
 @pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
 def test_classify_scaling_invariance(args, t):
     # (kappa, L, sigma) -> (kappa/t, t*L, sigma/t) keeps (a, b, kL), so
@@ -317,6 +375,17 @@ def test_classify_scaling_invariance(args, t):
     assert scaled.evidence == base.evidence
     assert scaled.classification == base.classification
     assert scaled.mu1 * t * t == pytest.approx(base.mu1, rel=1e-12)
+
+
+@pytest.mark.parametrize("args", BRANCH_ARCS)
+def test_classify_lowest_root_matches_full_enumeration(args):
+    # classify refines one root per branch; it must pick the mode that the
+    # full enumeration ranks lowest, bit for bit
+    arc = ArcInterface(*args)
+    verdict = classify(arc)
+    lowest = min(case_modes(arc, verdict.witness.case_tag), key=lambda m: m.mu)
+    assert verdict.witness == lowest
+    assert verdict.mu1 == lowest.mu
 
 
 def test_classify_flat_boundary_stable():

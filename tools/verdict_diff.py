@@ -9,7 +9,7 @@ class and evidence mismatches, the largest relative mu1 change, Case I
 witnesses that are not byte-identical, and Case II witnesses that differ by
 more than 1e-9 (relative) up to an overall sign.  New-tree witnesses that
 fail reconstruct_eigenfunction's Robin check are counted too.  Exits 1 when
-any check outside the crit2-threshold mu1 values fails.
+any check fails.
 """
 
 from __future__ import annotations
@@ -92,8 +92,6 @@ def main(argv=None) -> int:
             c["mu1 rel > 1e-10"] += rel > 1e-10
         c["new Robin check fails"] += m["robin"] is False
         ow, nw = o["witness"], m["witness"]
-        if o["evidence"] == "crit2-threshold":
-            continue
         if (ow is None) != (nw is None) or (ow is not None and ow[0] != nw[0]):
             c["witness kind differs"] += 1
         elif ow is None:
@@ -107,9 +105,7 @@ def main(argv=None) -> int:
         c = counts[evidence]
         print(f"{evidence}: " + ", ".join(f"{k} {v}" for k, v in sorted(c.items()))
               + f", worst mu1 rel change {worst_mu[evidence]:.3g}")
-        bad = sum(v for k, v in c.items() if k != "arcs"
-                  and not (evidence == "crit2-threshold" and k.startswith("mu1")))
-        failed |= bad > 0
+        failed |= any(v for k, v in c.items() if k != "arcs")
     return 1 if failed else 0
 
 
