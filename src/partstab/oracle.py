@@ -3,9 +3,10 @@
 Piecewise-linear Galerkin on a uniform grid: stiffness K for int f' phi',
 consistent tridiagonal mass M for int f phi, Robin terms -sigma_i on the
 endpoint diagonal of the quadratic form, curvature term -kappa^2 M.  The
-zero-mean constraint int f = 0 is enforced exactly through a bordered
-generalized eigenproblem solved by shift-invert Lanczos; the Lagrange
-multiplier of the inhomogeneous right side is absorbed by the constraint.
+zero-mean constraint int f = 0 is enforced exactly by constrained
+shift-invert Lanczos on the pencil (A, M), whose mass is positive definite:
+every inverse solve goes through one factored bordered matrix
+[[A - shift*M, w], [w^T, 0]], w = M 1, and lands in the constraint space.
 """
 
 from __future__ import annotations
@@ -54,30 +55,22 @@ def discretize(arc: ArcInterface, n: int, periodic: bool = False) -> DiscreteOpe
     if n < 3:
         raise ValueError(f"need n >= 3 grid nodes, got {n}")
     L = arc.length
-    if periodic:
-        h = L / n
-        grid = np.arange(n) * h
-        k_main = np.full(n, 2.0 / h)
-        m_main = np.full(n, 2.0 * h / 3.0)
-        offsets, k_off, m_off = [-1, 1, -(n - 1), n - 1], -1.0 / h, h / 6.0
-        K = sp.diags([np.full(n - 1, k_off)] * 2 + [np.array([k_off])] * 2,
-                     offsets, format="lil")
-        M = sp.diags([np.full(n - 1, m_off)] * 2 + [np.array([m_off])] * 2,
-                     offsets, format="lil")
-        K.setdiag(k_main)
-        M.setdiag(m_main)
-        K, M = K.tocsr(), M.tocsr()
-    else:
-        h = L / (n - 1)
-        grid = np.linspace(0.0, L, n)
-        k_main = np.full(n, 2.0 / h)
+    h = L / n if periodic else L / (n - 1)
+    grid = np.arange(n) * h if periodic else np.linspace(0.0, L, n)
+    k_main = np.full(n, 2.0 / h)
+    m_main = np.full(n, 2.0 * h / 3.0)
+    if not periodic:
         k_main[0] = k_main[-1] = 1.0 / h
-        m_main = np.full(n, 2.0 * h / 3.0)
         m_main[0] = m_main[-1] = h / 3.0
-        K = sp.diags([np.full(n - 1, -1.0 / h), k_main, np.full(n - 1, -1.0 / h)],
-                     [-1, 0, 1], format="csr")
-        M = sp.diags([np.full(n - 1, h / 6.0), m_main, np.full(n - 1, h / 6.0)],
-                     [-1, 0, 1], format="csr")
+    # periodic grids add the wrap entries at offsets -(n-1) and n-1
+    wrap = [-(n - 1), n - 1] if periodic else []
+
+    def assemble(main, off):
+        band = np.full(n - 1, off)
+        return sp.diags([band, main, band] + [band[:1]] * len(wrap), [-1, 0, 1] + wrap,
+                        shape=(n, n), format="csr")
+
+    K, M = assemble(k_main, -1.0 / h), assemble(m_main, h / 6.0)
     return DiscreteOperator(grid, K, M, arc.kappa ** 2,
                             (arc.sigma1, arc.sigma2), periodic)
 
@@ -88,81 +81,47 @@ def _spectral_lower_bound(op: DiscreteOperator) -> float:
     u(0)^2 + u(L)^2 <= eps^2 |u'|^2 + (1/eps^2 + 2/L)|u|^2 at
     eps^2 = 1/(2 sigma_max)."""
     kap_sq = op.curvature_term
-    if op.periodic:
-        return -kap_sq - 1.0
-    s_max = max(op.boundary_terms)
-    L = float(op.grid[-1] - op.grid[0])
+    s_max = 0.0 if op.periodic else max(op.boundary_terms)
     if s_max == 0.0:
         return -kap_sq - 1.0
+    L = float(op.grid[-1] - op.grid[0])
     return -kap_sq - s_max * (2.0 * s_max + 2.0 / L) - 1.0
 
 
-def constrained_eigenpairs(op: DiscreteOperator, k: int = 1,
-                           tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def constrained_eigenpairs(op: DiscreteOperator, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The k smallest eigenpairs of A f = mu M f subject to 1^T M f = 0.
 
-    Solved as the bordered pencil [[A, w],[w^T, 0]] z = mu [[M, 0],[0, 0]] z
-    with w = M 1 by ARPACK shift-invert at a shift below the spectrum.
-    Returns eigenvalues ascending and M-normalized eigenvectors as columns.
+    Constrained shift-invert Lanczos on the pencil (A, M) at a shift below
+    the spectrum.  The solve of the bordered matrix [[A - shift*M, w],
+    [w^T, 0]], w = M 1, with a zero appended and the multiplier dropped,
+    maps every right side into the constraint space w^T f = 0, so the one
+    excluded direction has inverse-eigenvalue 0 and is never returned.
+    Returns eigenvalues ascending and M-normalized eigenvectors as columns,
+    each signed so that its largest-magnitude entry is positive.
     """
     n = op.n
     if not (1 <= k <= n - 2):
         raise ValueError(f"k must be in [1, {n - 2}], got {k}")
-    a = op.form_matrix()
-    m = op.mass
+    a, m = op.form_matrix(), op.mass
     w = m @ np.ones(n)
-    w_sq = w @ w
-    a_big = sp.bmat([[a, w[:, None]], [w[None, :], None]], format="csc")
-    m_big = sp.bmat([[m, None], [None, sp.csr_matrix((1, 1))]], format="csc")
-    sigma = _spectral_lower_bound(op)
+    shift = _spectral_lower_bound(op)
+    lu = spla.splu(sp.bmat([[a - shift * m, w[:, None]], [w[None, :], None]],
+                           format="csc"))
+    opinv = spla.LinearOperator((n, n), dtype=float,
+                                matvec=lambda b: lu.solve(np.append(b, 0.0))[:n])
     # fixed generic start vector: deterministic runs, and no accidental
     # orthogonality to symmetric/antisymmetric eigenvectors
-    v0 = np.random.default_rng(0).standard_normal(n + 1)
-
-    def solve(k_req):
-        try:
-            return spla.eigsh(a_big, k=k_req, M=m_big, sigma=sigma,
-                              which="LM", tol=tol, v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise RuntimeError(
-                f"constrained eigensolve failed to converge: "
-                f"{len(exc.eigenvalues)} of {k_req} eigenvalues converged "
-                f"(n={n}, sigma={sigma:.3g})") from exc
-
-    def purge(vals, vecs):
-        # the singular mass border makes the pencil carry infinite
-        # eigenvalues; ARPACK can leak spurious finite copies of them,
-        # so keep only pairs that pass a residual check
-        keep_vals, keep_vecs = [], []
-        for mu, z in zip(vals, vecs.T):
-            f = z[:-1]
-            nrm = math.sqrt(abs(f @ (m @ f)))
-            if nrm < 1e-12:
-                continue
-            f = f / nrm
-            r = a @ f - mu * (m @ f)
-            r -= w * ((w @ r) / w_sq)
-            scale = max(1.0, float(np.linalg.norm(a @ f)))
-            if np.linalg.norm(r) <= 1e-6 * scale and abs(w @ f) <= 1e-6:
-                keep_vals.append(mu)
-                keep_vecs.append(f)
-        return keep_vals, keep_vecs
-
-    keep_vals, keep_vecs = purge(*solve(min(k + 2, n - 1)))
-    if len(keep_vals) < k:
-        keep_vals, keep_vecs = purge(*solve(min(k + 8, n - 1)))
-    if len(keep_vals) < k:
-        raise RuntimeError(
-            f"constrained eigensolve returned only {len(keep_vals)} "
-            f"verified eigenpairs of {k} requested (n={n})")
-    order = np.argsort(keep_vals)[:k]
-    vals = np.array([keep_vals[j] for j in order])
-    vecs = np.empty((n, k))
-    for col, j in enumerate(order):
-        f = keep_vecs[j]
-        if f[np.argmax(np.abs(f))] < 0:
-            f = -f
-        vecs[:, col] = f
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        vals, vecs = spla.eigsh(a, k=k, M=m, sigma=shift, which="LM", tol=0.0,
+                                v0=v0, OPinv=opinv)
+    except spla.ArpackError as exc:
+        raise RuntimeError(f"constrained eigensolve failed (n={n}, k={k}, "
+                           f"shift={shift:.3g}): {exc}") from exc
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, m @ vecs))
+    vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(k)])
     return vals, vecs
 
 
@@ -182,17 +141,14 @@ def J_evaluate(arc: ArcInterface, f: np.ndarray, periodic: bool = False) -> floa
 
 
 def _random_trig_samples(rng: np.random.Generator, grid: np.ndarray, L: float,
-                         n_terms: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Random truncated trigonometric series and its derivative on the grid."""
-    u = np.zeros_like(grid)
-    du = np.zeros_like(grid)
-    coeffs = rng.uniform(-1.0, 1.0, size=(n_terms, 2))
-    for j in range(1, n_terms + 1):
-        w = j * math.pi / L
-        aj, bj = coeffs[j - 1]
-        u += aj * np.cos(w * grid) + bj * np.sin(w * grid)
-        du += -aj * w * np.sin(w * grid) + bj * w * np.cos(w * grid)
-    return u, du
+                         n_trials: int, n_terms: int = 10) -> tuple[np.ndarray, np.ndarray]:
+    """n_trials random truncated trigonometric series and their derivatives
+    on the grid, one trial per row."""
+    coeffs = rng.uniform(-1.0, 1.0, size=(n_trials, n_terms, 2))
+    w = np.arange(1, n_terms + 1) * math.pi / L
+    cos, sin = np.cos(np.outer(w, grid)), np.sin(np.outer(w, grid))
+    a, b = coeffs[..., 0], coeffs[..., 1]
+    return a @ cos + b @ sin, (b * w) @ cos - (a * w) @ sin
 
 
 def rayleigh_bound_check(arc: ArcInterface, n_trials: int, seed: int = 0,
@@ -214,8 +170,8 @@ def rayleigh_bound_check(arc: ArcInterface, n_trials: int, seed: int = 0,
     denom = ones @ w
     rng = np.random.default_rng(seed)
     worst = math.inf
-    for trial in range(n_trials):
-        f, _ = _random_trig_samples(rng, op.grid, arc.length)
+    samples, _ = _random_trig_samples(rng, op.grid, arc.length, n_trials)
+    for trial, f in enumerate(samples):
         f = f - ones * ((w @ f) / denom)
         nrm = math.sqrt(f @ (m @ f))
         if nrm < 1e-12:
@@ -246,8 +202,7 @@ def trace_inequality_check(arc: ArcInterface, epsilon: float, n_trials: int,
     c_eps = 1.0 / epsilon ** 2 + 2.0 / L
     rng = np.random.default_rng(seed)
     worst = math.inf
-    for trial in range(n_trials):
-        u, du = _random_trig_samples(rng, grid, L)
+    for trial, (u, du) in enumerate(zip(*_random_trig_samples(rng, grid, L, n_trials))):
         l2 = float(np.trapezoid(u * u, grid))
         h1 = l2 + float(np.trapezoid(du * du, grid))
         lhs = u[0] ** 2 + u[-1] ** 2

@@ -50,7 +50,6 @@ class SpectralMode:
     k: float
     mu: float
     coeffs: tuple[float, float, float]
-    normalized: bool = False
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,17 @@ def test_classify_with_oracle(capsys):
     assert report["oracle"]["abs_err"] < 1e-4
 
 
+def test_oracle_commands_on_a_coarse_grid(capsys):
+    # up to grid - 2 oracle eigenvalues on a 21-node grid
+    code, report = run_json(capsys, "oracle-compare", *ARC_UNSTABLE,
+                            "--grid", "21", "--eigs", "12")
+    assert code == 0
+    assert len(report["comparison"]["rows"]) == report["comparison"]["n_analytic_found"]
+    _, report = run_json(capsys, "circle", "--radius", "1", "--max-n", "10",
+                         "--oracle", "--grid", "21")
+    assert len(report["oracle"]["eigenvalues"]) == 19
+
+
 def test_tol_env_var_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("PARTSTAB_TOL", "1e-6")
     _, report = run_json(capsys, "classify", *ARC_STABLE)

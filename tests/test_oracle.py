@@ -2,14 +2,26 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 
 from partstab import (ArcInterface, J_evaluate, case_modes, classify,
                       constrained_eigenpairs, discretize,
                       rayleigh_bound_check, reconstruct_eigenfunction,
                       smallest_constrained_eigenpair, spectrum_compare,
                       trace_inequality_check)
+from partstab.oracle import _random_trig_samples
+from test_spectrum import BRANCH_ARCS
 
 CASE2_MU_S1_L4 = -1.916813956124163
+
+
+def dense_constrained_spectrum(op):
+    """All constrained eigenvalues, from A and M projected onto the null
+    space of w^T, w = M 1."""
+    a, m = op.form_matrix().toarray(), op.mass.toarray()
+    z = sla.null_space((m @ np.ones(op.n))[None, :])
+    return sla.eigh(z.T @ a @ z, z.T @ m @ z, eigvals_only=True)
 
 
 def test_discretize_matrix_structure():
@@ -89,6 +101,49 @@ def test_constrained_eigenpairs_k_bounds():
         constrained_eigenpairs(op, k=20)
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("n", [21, 201])
+@pytest.mark.parametrize("args", BRANCH_ARCS + [(1.0, 2.0 * math.pi, 0.0, 0.0)])
+def test_constrained_eigenpairs_match_dense_reference(args, n, periodic):
+    # the k values returned are the k smallest: none missed, none spurious
+    arc = ArcInterface(*args)
+    op = discretize(arc, n, periodic=periodic)
+    ref = dense_constrained_spectrum(op)
+    tol = 1e-11 * max(1.0, (n / arc.length) ** 2)
+    for k in [1, 2, 3, 4, 5] + ([n - 2] if n == 21 else []):
+        vals, _ = constrained_eigenpairs(op, k=k)
+        assert np.abs(vals - ref[:k]).max() <= tol
+
+
+def test_constrained_eigenpairs_every_k():
+    # every k that the bounds check accepts must solve, up to k = n - 2
+    arc = ArcInterface(1.0, 4.0, 1.0, 1.0)
+    for n in (21, 51):
+        op = discretize(arc, n)
+        ref = dense_constrained_spectrum(op)
+        for k in range(1, n - 1):
+            vals, _ = constrained_eigenpairs(op, k=k)
+            assert np.abs(vals - ref[:k]).max() <= 1e-11 * (n / arc.length) ** 2
+
+
+def test_stiff_robin_walls_give_galerkin_upper_bound():
+    # sigma = 1e6: the shift is about -2e12 against an analytic mu1 of
+    # -1e12 - 1, which P1 Galerkin can only overestimate
+    op = discretize(ArcInterface(1.0, 1.0, 1e6, 1e6), 4001)
+    mu, f = smallest_constrained_eigenpair(op)
+    assert -1e12 - 1.0 < mu < 0.0
+    assert np.all(np.isfinite(f))
+
+
+def test_arpack_failure_becomes_runtime_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise spla.ArpackError(-9999)
+
+    monkeypatch.setattr(spla, "eigsh", fail)
+    with pytest.raises(RuntimeError, match="constrained eigensolve failed"):
+        constrained_eigenpairs(discretize(ArcInterface(1.0, 4.0, 1.0, 1.0), 21))
+
+
 def test_reversal_symmetry():
     # swapping the endpoint curvatures cannot change the spectrum
     op_a = discretize(ArcInterface(1.0, 3.0, 2.0, 0.5), 1501)
@@ -138,6 +193,24 @@ def test_trace_inequality_holds():
         trace_inequality_check(arc, 0.0, 10)
     with pytest.raises(ValueError):
         trace_inequality_check(arc, 1.0, 0)
+
+
+def test_random_trig_samples_match_per_trial_loop():
+    # reference: one draw and one cos/sin sum per trial, in the RNG draw
+    # order the sampler must keep
+    L, grid = 3.0, np.linspace(0.0, 3.0, 301)
+    u, du = _random_trig_samples(np.random.default_rng(4), grid, L, 7)
+    rng = np.random.default_rng(4)
+    for row_u, row_du in zip(u, du):
+        ref_u, ref_du = np.zeros_like(grid), np.zeros_like(grid)
+        for j, (aj, bj) in enumerate(rng.uniform(-1.0, 1.0, size=(10, 2)), start=1):
+            w = j * math.pi / L
+            ref_u += aj * np.cos(w * grid) + bj * np.sin(w * grid)
+            ref_du += -aj * w * np.sin(w * grid) + bj * w * np.cos(w * grid)
+        # ten terms of size at most 2 w_j: a few ulps of 2 * sum(w_j)
+        atol = 64 * np.finfo(float).eps * 2 * sum(j * math.pi / L for j in range(1, 11))
+        np.testing.assert_allclose(row_u, ref_u, rtol=0, atol=atol)
+        np.testing.assert_allclose(row_du, ref_du, rtol=0, atol=atol)
 
 
 def test_trace_inequality_constant_function():

@@ -8,8 +8,11 @@ and cover all six decision branches.  Reported per branch of the old tree:
 class and evidence mismatches, the largest relative mu1 change, Case I
 witnesses that are not byte-identical, and Case II witnesses that differ by
 more than 1e-9 (relative) up to an overall sign.  New-tree witnesses that
-fail reconstruct_eigenfunction's Robin check are counted too.  Exits 1 when
-any check fails.
+fail reconstruct_eigenfunction's Robin check are counted too.  On one arc
+in every 20, cycling through the four arc kinds, the three smallest oracle
+eigenvalues at n = 401 are compared as well: eigenvalues that moved by more
+than 1e-10 relative to max(1, |mu|) are counted, and the worst change is
+reported.  Exits 1 when any check fails.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from collections import Counter, defaultdict
 CLASSIFY = r"""
 import json, sys
 import numpy as np
-from partstab import ArcInterface, classify, reconstruct_eigenfunction
+from partstab import (ArcInterface, classify, constrained_eigenpairs, discretize,
+                      reconstruct_eigenfunction)
 rng = np.random.default_rng(int(sys.argv[1]))
 for i in range(int(sys.argv[2])):
     kind = i % 4
@@ -54,14 +58,17 @@ for i in range(int(sys.argv[2])):
         "class": v.classification, "evidence": v.evidence, "mu1": v.mu1,
         "witness": None if w is None else [w.case_tag, w.k, w.mu, list(w.coeffs)],
         "coeffs_repr": None if w is None else [repr(c) for c in w.coeffs],
-        "robin": robin}))
+        "robin": robin,
+        # one arc in every 20, cycling through the four kinds
+        "oracle": (constrained_eigenpairs(discretize(arc, 401), 3)[0].tolist()
+                   if i % 20 == i // 20 % 4 else None)}))
 """
 
 
 def run_tree(src: str, seed: int, n: int) -> list[dict]:
     out = subprocess.run([sys.executable, "-c", CLASSIFY, str(seed), str(n)],
                          env={"PYTHONPATH": src, "OMP_NUM_THREADS": "1"}, check=True,
-                         capture_output=True, text=True).stdout
+                         stdout=subprocess.PIPE, text=True).stdout
     return [json.loads(line) for line in out.splitlines()]
 
 
@@ -80,6 +87,7 @@ def main(argv=None) -> int:
     old, new = run_tree(args.old_src, args.seed, args.n), run_tree(args.new_src, args.seed, args.n)
     counts: dict[str, Counter] = defaultdict(Counter)
     worst_mu = defaultdict(float)
+    worst_oracle = defaultdict(float)
     for o, m in zip(old, new):
         c = counts[o["evidence"]]
         c["arcs"] += 1
@@ -91,6 +99,11 @@ def main(argv=None) -> int:
             worst_mu[o["evidence"]] = max(worst_mu[o["evidence"]], rel)
             c["mu1 rel > 1e-10"] += rel > 1e-10
         c["new Robin check fails"] += m["robin"] is False
+        if o["oracle"] is not None:
+            for mu_o, mu_n in zip(o["oracle"], m["oracle"]):
+                rel = abs(mu_n - mu_o) / max(1.0, abs(mu_o))
+                worst_oracle[o["evidence"]] = max(worst_oracle[o["evidence"]], rel)
+                c["oracle mu rel > 1e-10"] += rel > 1e-10
         ow, nw = o["witness"], m["witness"]
         if (ow is None) != (nw is None) or (ow is not None and ow[0] != nw[0]):
             c["witness kind differs"] += 1
@@ -104,7 +117,8 @@ def main(argv=None) -> int:
     for evidence in sorted(counts):
         c = counts[evidence]
         print(f"{evidence}: " + ", ".join(f"{k} {v}" for k, v in sorted(c.items()))
-              + f", worst mu1 rel change {worst_mu[evidence]:.3g}")
+              + f", worst mu1 rel change {worst_mu[evidence]:.3g}"
+              + f", worst oracle mu change {worst_oracle[evidence]:.3g}")
         failed |= any(v for k, v in c.items() if k != "arcs")
     return 1 if failed else 0
 
